@@ -62,16 +62,21 @@ serve-smoke:
 	bash scripts/serve_smoke.sh
 
 # Chaos suite: the fault-injection and checkpoint/restart tests under the
-# race detector, plus a short end-to-end robust run of cmd/advect — a
-# seeded drop/dup/reorder plan with an injected rank crash, recovered by
-# resuming from the last checkpoint.
+# race detector (the lifecycle driver and the job service included), plus
+# short end-to-end robust runs of cmd/advect and cmd/seismic — a seeded
+# drop/dup/reorder plan with an injected rank crash, recovered by resuming
+# from the last checkpoint on a migrated rank count.
 chaos:
-	$(GO) test -race -timeout 5m -run 'Chaos|Crash|Resume|FaultStats|RankPanic|BcastErr|Corruption|PropagatesWrite|FieldCheckpoint' \
-		./internal/mpi/ ./internal/mangll/ ./internal/core/ ./internal/advect/ ./internal/seismic/
+	$(GO) test -race -timeout 5m -run 'Chaos|Crash|Resume|Restart|FaultStats|RankPanic|BcastErr|Corruption|PropagatesWrite|FieldCheckpoint' \
+		./internal/mpi/ ./internal/mangll/ ./internal/core/ ./internal/advect/ ./internal/seismic/ \
+		./internal/lifecycle/ ./internal/serve/
 	rm -rf /tmp/p4go-chaos && mkdir -p /tmp/p4go-chaos
 	$(GO) run ./cmd/advect -ranks 3 -steps 10 -adapt-every 2 -level 1 -max-level 2 -degree 2 \
 		-checkpoint /tmp/p4go-chaos/adv -checkpoint-every 2 \
 		-fault-drop 0.2 -fault-dup 0.2 -fault-reorder 0.2 -crash-rank 1 -crash-step 7
+	$(GO) run ./cmd/seismic -ranks 3 -steps 6 -degree 2 -max-level 2 \
+		-checkpoint /tmp/p4go-chaos/seis -checkpoint-every 2 \
+		-fault-drop 0.2 -fault-dup 0.2 -fault-reorder 0.2 -crash-rank 1 -crash-step 5
 	rm -rf /tmp/p4go-chaos
 
 # Regenerate the Figure 4 weak-scaling table (with the per-phase imbalance

@@ -18,6 +18,8 @@ import (
 
 	"repro/internal/advect"
 	"repro/internal/experiments"
+	"repro/internal/lifecycle"
+	"repro/internal/mpi"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -44,6 +46,7 @@ func main() {
 	tracePath := flag.String("trace", "", "write the last run's Chrome trace-event JSON here")
 	profilePath := flag.String("profile", "", "write a CPU profile (pprof) of all runs here")
 	tel := telemetry.NewDriver("advect")
+	robust := lifecycle.NewCLI(flag.CommandLine)
 	flag.Parse()
 	if err := tel.Start(); err != nil {
 		log.Fatal(err)
@@ -69,8 +72,16 @@ func main() {
 	opts.Level = int8(*level)
 	opts.MaxLevel = int8(*maxLevel)
 
-	if *checkpointBase != "" {
-		if err := runRobust(parseRanks(*ranks)[0], opts, *steps, *adaptEvery, tel); err != nil {
+	if robust.Enabled() {
+		open := func(c *mpi.Comm, from string) (lifecycle.Physics, int64, error) {
+			s, start, err := advect.OpenShell(c, opts, from)
+			if err != nil {
+				return nil, 0, err
+			}
+			tel.OnRank("advect", c.Rank(), s.Met)
+			return s, start, nil
+		}
+		if _, err := robust.Run(parseRanks(*ranks)[0], *steps, *adaptEvery, tel, open); err != nil {
 			log.Fatalf("robust run: %v", err)
 		}
 		return

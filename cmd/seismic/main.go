@@ -18,6 +18,8 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
+	"repro/internal/lifecycle"
+	"repro/internal/mpi"
 	"repro/internal/seismic"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -46,6 +48,7 @@ func main() {
 	tracePath := flag.String("trace", "", "write the last run's Chrome trace-event JSON here")
 	profilePath := flag.String("profile", "", "write a CPU profile (pprof) of all runs here")
 	tel := telemetry.NewDriver("seismic")
+	robust := lifecycle.NewCLI(flag.CommandLine)
 	flag.Parse()
 	if !*strong && !*device {
 		*strong = true
@@ -74,8 +77,16 @@ func main() {
 	opts.FreqHz = *freq
 	opts.MaxLevel = int8(*maxLevel)
 
-	if *checkpointBase != "" {
-		if err := runRobust(parseRanks(*ranks)[0], opts, *steps, tel); err != nil {
+	if robust.Enabled() {
+		open := func(c *mpi.Comm, from string) (lifecycle.Physics, int64, error) {
+			s, start, err := seismic.OpenEarth(c, opts, from)
+			if err != nil {
+				return nil, 0, err
+			}
+			tel.OnRank("seismic", c.Rank(), s.Met)
+			return s, start, nil
+		}
+		if _, err := robust.Run(parseRanks(*ranks)[0], *steps, 0, tel, open); err != nil {
 			fmt.Println("robust run:", err)
 			os.Exit(1)
 		}

@@ -132,19 +132,7 @@ func NewShell(comm *mpi.Comm, opts Options) *Solver {
 func NewCustom(comm *mpi.Comm, conn *connectivity.Conn, opts Options,
 	vel func(x, y, z float64) (float64, float64, float64),
 	ic func(x, y, z float64) float64) *Solver {
-	s := &Solver{
-		Opts: opts, Comm: comm, Conn: conn,
-		LGL:   mangll.NewLGL(opts.Degree),
-		Met:   metrics.NewRegistry(),
-		velFn: vel, icFn: ic,
-	}
-	s.live = metrics.NewProgress(s.Met)
-	s.hRHS = s.Met.Histogram("rhs", metrics.UnitDuration)
-	s.hExch = s.Met.Histogram("exchange", metrics.UnitDuration)
-	s.hInteg = s.Met.Histogram("integrate", metrics.UnitDuration)
-	s.kern = advKernel{s: s}
-	// One closure for the integrator, built once so Step allocates nothing.
-	s.rhsFn = func(tt float64, u, du []float64) { s.RHS(u, du) }
+	s := newSolver(comm, conn, opts, vel, ic)
 	stop := s.Met.Start("amr")
 	s.F = core.New(comm, conn, opts.Level)
 	s.F.Balance(core.BalanceFull)
@@ -163,6 +151,29 @@ func NewCustom(comm *mpi.Comm, conn *connectivity.Conn, opts Options,
 			break
 		}
 	}
+	return s
+}
+
+// newSolver wires a solver without a forest: the registry, the hot-path
+// instrument handles, and the kernel and integrator hooks. NewCustom and
+// ResumeShell both start here and differ only in where the forest and
+// the field come from.
+func newSolver(comm *mpi.Comm, conn *connectivity.Conn, opts Options,
+	vel func(x, y, z float64) (float64, float64, float64),
+	ic func(x, y, z float64) float64) *Solver {
+	s := &Solver{
+		Opts: opts, Comm: comm, Conn: conn,
+		LGL:   mangll.NewLGL(opts.Degree),
+		Met:   metrics.NewRegistry(),
+		velFn: vel, icFn: ic,
+	}
+	s.live = metrics.NewProgress(s.Met)
+	s.hRHS = s.Met.Histogram("rhs", metrics.UnitDuration)
+	s.hExch = s.Met.Histogram("exchange", metrics.UnitDuration)
+	s.hInteg = s.Met.Histogram("integrate", metrics.UnitDuration)
+	s.kern = advKernel{s: s}
+	// One closure for the integrator, built once so Step allocates nothing.
+	s.rhsFn = func(tt float64, u, du []float64) { s.RHS(u, du) }
 	return s
 }
 
@@ -242,6 +253,7 @@ func (s *Solver) rebuild() {
 	// faceNormalVel recomputed every RHS call.
 	s.unw = make([]float64, len(m.Links)*m.Nf)
 	fv := make([]float64, m.Nf)
+	w := m.SerialWork()
 	for li := range m.Links {
 		l := &m.Links[li]
 		if l.Kind == mangll.LinkBoundary {
@@ -258,7 +270,7 @@ func (s *Solver) rebuild() {
 		}
 		out := s.unw[li*m.Nf : (li+1)*m.Nf]
 		if l.Kind == mangll.LinkToFineQuad {
-			m.InterpFaceToQuad(l, fv, out)
+			w.InterpFaceToQuad(l, fv, out)
 			continue
 		}
 		copy(out, fv)

@@ -1,78 +1,15 @@
 package advect
 
 import (
-	"os"
-	"path/filepath"
-
 	"repro/internal/connectivity"
 	"repro/internal/core"
-	"repro/internal/mangll"
-	"repro/internal/metrics"
 	"repro/internal/mpi"
 )
 
-// Checkpoint/restart: a checkpoint is a forest file (base+".forest", via
-// core.Save) plus a field file (base+".fields", the versioned field
-// format) written at a step boundary after any adaptation. Because every
-// piece of the solver not captured in the files — mesh geometry,
-// contravariant velocities, dt — is a deterministic function of forest
-// and options, and the runtime's collectives reduce in a fixed order, a
-// resumed run replays the remaining steps bitwise-identically to the
-// uninterrupted one.
-
-// checkpointPaths returns the forest and field file names of a base.
-func checkpointPaths(base string) (forest, fields string) {
-	return base + ".forest", base + ".fields"
-}
-
-// CheckpointExists reports whether both files of a checkpoint base are
-// present (the resume driver's "is there anything to resume from" probe).
-func CheckpointExists(base string) bool {
-	fp, dp := checkpointPaths(base)
-	if _, err := os.Stat(fp); err != nil {
-		return false
-	}
-	_, err := os.Stat(dp)
-	return err == nil
-}
-
-// SaveCheckpoint writes the solver state at step to base+".forest" and
-// base+".fields". Collective; the files are written to per-call unique
-// temporary names (core.TempPath) and renamed into place, so a crash
-// mid-write never clobbers the previous good checkpoint and concurrent
-// writers sharing a base path never clobber each other's temp files.
-// All ranks return the same error.
+// SaveCheckpoint writes the solver state at step to the checkpoint base
+// (see core.SaveCheckpoint). Collective; all ranks return the same error.
 func (s *Solver) SaveCheckpoint(base string, step int64) error {
-	fp, dp := checkpointPaths(base)
-	// Only rank 0 touches the filesystem (Save/SaveFields gather through
-	// it), so only rank 0's temp names matter; each rank computing its own
-	// is harmless.
-	ftmp, dtmp := core.TempPath(fp), core.TempPath(dp)
-	err := s.F.Save(ftmp)
-	if err == nil {
-		meta := core.FieldMeta{Step: step, Time: s.Time}
-		err = s.F.SaveFields(dtmp, s.Mesh.Np, meta, s.C)
-	}
-	if s.Comm.Rank() == 0 {
-		if err == nil {
-			if err = os.Rename(ftmp, fp); err == nil {
-				err = os.Rename(dtmp, dp)
-			}
-			if err == nil {
-				// Make the renames durable; the file contents were fsynced at
-				// write time, the directory entries are the remaining volatile
-				// piece of the atomic-replace protocol.
-				err = core.SyncDir(filepath.Dir(fp))
-			}
-		}
-		if err != nil {
-			// Unique temp names accumulate if left behind; sweep this
-			// writer's own on any failure (best effort).
-			os.Remove(ftmp)
-			os.Remove(dtmp)
-		}
-	}
-	err = mpi.BcastErr(s.Comm, err)
+	err := s.F.SaveCheckpoint(base, s.Mesh.Np, core.FieldMeta{Step: step, Time: s.Time}, s.C)
 	if err == nil {
 		s.Met.AddCount("checkpoint_saves", 1)
 		s.Met.Gauge("checkpoint_last_step").Set(step)
@@ -80,74 +17,38 @@ func (s *Solver) SaveCheckpoint(base string, step int64) error {
 	return err
 }
 
-// ResumeShell restores a shell solver from a checkpoint base; see
-// ResumeCustom.
-func ResumeShell(comm *mpi.Comm, opts Options, base string) (*Solver, int64, error) {
-	return ResumeCustom(comm, connectivity.Shell(0.55, 1.0), opts, nil, nil, base)
+// OpenShell is the shell run's build-or-resume constructor: with base ""
+// it builds a fresh solver (NewShell), otherwise it restores the one
+// checkpointed at base (ResumeShell). It returns the step the run
+// continues after, 0 for a fresh build.
+func OpenShell(comm *mpi.Comm, opts Options, base string) (*Solver, int64, error) {
+	if base == "" {
+		return NewShell(comm, opts), 0, nil
+	}
+	return ResumeShell(comm, opts, base)
 }
 
-// ResumeCustom restores a solver from the checkpoint at base onto the
-// given connectivity (which must match the one used at save time) and
-// returns it along with the step the checkpoint was taken at. The
-// options, velocity, and initial-condition fields must equal the original
-// run's; the mesh, metric terms, and velocity samples are rebuilt from
-// the restored forest.
-func ResumeCustom(comm *mpi.Comm, conn *connectivity.Conn, opts Options,
-	vel func(x, y, z float64) (float64, float64, float64),
-	ic func(x, y, z float64) float64, base string) (*Solver, int64, error) {
-	fp, dp := checkpointPaths(base)
-	f, err := core.Load(comm, conn, fp)
+// ResumeShell restores the shell solver checkpointed at base and returns
+// it along with the step the checkpoint was taken at. The options must
+// equal the original run's; the mesh, metric terms, and velocity samples
+// are rebuilt from the restored forest.
+func ResumeShell(comm *mpi.Comm, opts Options, base string) (*Solver, int64, error) {
+	conn := connectivity.Shell(0.55, 1.0)
+	np1 := opts.Degree + 1
+	f, data, meta, err := core.LoadCheckpoint(comm, conn, base, np1*np1*np1)
 	if err != nil {
 		return nil, 0, err
 	}
-	s := &Solver{
-		Opts: opts, Comm: comm, Conn: conn,
-		LGL:   mangll.NewLGL(opts.Degree),
-		Met:   metrics.NewRegistry(),
-		velFn: vel, icFn: ic,
-		F: f,
-	}
-	s.live = metrics.NewProgress(s.Met)
-	s.hRHS = s.Met.Histogram("rhs", metrics.UnitDuration)
-	s.hExch = s.Met.Histogram("exchange", metrics.UnitDuration)
-	s.hInteg = s.Met.Histogram("integrate", metrics.UnitDuration)
-	s.kern = advKernel{s: s}
-	s.rhsFn = func(tt float64, u, du []float64) { s.RHS(u, du) }
+	s := newSolver(comm, conn, opts, nil, nil)
+	s.F = f
 	s.rebuild()
-	data, meta, err := f.LoadFields(dp, s.Mesh.Np)
-	if err != nil {
-		return nil, 0, err
-	}
 	s.C = data
 	s.Time = meta.Time
 	return s, meta.Step, nil
 }
 
-// RunCheckpointed advances the solver from step start+1 through nsteps
-// like Run (adapting every adaptEvery steps), additionally writing a
-// checkpoint to base every `every` steps — after the step's adaptation,
-// so the files always capture a consistent (forest, fields, time) triple
-// — and calling Comm.CrashPoint at each step boundary so an injected
-// rank crash fires between steps. A fresh run passes start = 0; a
-// resumed run passes the step returned by ResumeShell/ResumeCustom.
-func (s *Solver) RunCheckpointed(nsteps, adaptEvery, every int, base string, start int64) error {
-	dt := s.DT()
-	for step := start + 1; step <= int64(nsteps); step++ {
-		s.Comm.CrashPoint(int(step))
-		s.Step(dt)
-		if adaptEvery > 0 && step%int64(adaptEvery) == 0 {
-			if s.Adapt() {
-				dt = s.DT()
-			}
-		}
-		if every > 0 && base != "" && step%int64(every) == 0 {
-			if err := s.SaveCheckpoint(base, step); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
+// SimTime returns the simulation time reached.
+func (s *Solver) SimTime() float64 { return s.Time }
 
 // FieldHash returns the collective bitwise fingerprint of the solver
 // state (solution values in global curve order plus the simulation time),

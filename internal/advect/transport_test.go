@@ -3,6 +3,7 @@ package advect
 import (
 	"testing"
 
+	"repro/internal/lifecycle"
 	"repro/internal/mpi"
 )
 
@@ -21,7 +22,7 @@ func TestAdvectCrossTransportBitwise(t *testing.T) {
 		var h uint64
 		mpi.RunOpt(p, mpi.RunOptions{Transport: tp}, func(c *mpi.Comm) {
 			s := NewShell(c, ckptOpts())
-			if err := s.RunCheckpointed(4, 2, 0, "", 0); err != nil {
+			if _, err := (lifecycle.Schedule{Steps: 4, AdaptEvery: 2}).Run(c, s, 0); err != nil {
 				t.Errorf("%s: run: %v", tp, err)
 			}
 			if hh := s.FieldHash(); c.Rank() == 0 {

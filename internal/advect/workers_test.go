@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/lifecycle"
 	"repro/internal/mpi"
 	"repro/internal/raceflag"
 )
@@ -18,7 +19,7 @@ func workersHash(t *testing.T, p, workers int, transport string, noOverlap bool)
 		o := ckptOpts()
 		o.NoOverlap = noOverlap
 		s := NewShell(c, o)
-		if err := s.RunCheckpointed(4, 2, 0, "", 0); err != nil {
+		if _, err := (lifecycle.Schedule{Steps: 4, AdaptEvery: 2}).Run(c, s, 0); err != nil {
 			t.Errorf("w=%d %s noOverlap=%v: run: %v", workers, transport, noOverlap, err)
 		}
 		if hh := s.FieldHash(); c.Rank() == 0 {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"sync/atomic"
 
 	"repro/internal/connectivity"
@@ -46,18 +47,22 @@ func (f *Forest) Save(path string) error {
 		for _, part := range parts {
 			all = append(all, part...)
 		}
-		err = saveLeaves(path, f.Conn.NumTrees(), all)
+		err = writeFile(path, func(w *bufio.Writer) error { return writeLeaves(w, f.Conn.NumTrees(), all) })
 	}
 	return mpi.BcastErr(f.Comm, err)
 }
 
-func saveLeaves(path string, numTrees int32, all []octant.Octant) error {
+// writeFile creates path and fills it through write, then flushes,
+// fsyncs and closes it, returning the first failure; on failure the
+// partial file is removed rather than left behind looking like a
+// checkpoint.
+func writeFile(path string, write func(w *bufio.Writer) error) error {
 	file, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	w := bufio.NewWriter(file)
-	err = writeLeaves(w, numTrees, all)
+	err = write(w)
 	if ferr := w.Flush(); err == nil && ferr != nil {
 		err = fmt.Errorf("core: flushing checkpoint %s: %w", path, ferr)
 	}
@@ -203,4 +208,84 @@ func Load(comm *mpi.Comm, conn *connectivity.Conn, path string) (*Forest, error)
 		return nil, fmt.Errorf("core: loaded forest invalid: %w", err)
 	}
 	return f, nil
+}
+
+// A solver checkpoint is a forest file (base+".forest", via Save) plus a
+// field file (base+".fields", the versioned field format) holding the
+// solver state and the step/time it was taken at. Everything a solver
+// carries beyond that — mesh geometry, materials, velocities, dt — is a
+// deterministic function of forest and options, and the runtime's
+// collectives reduce in a fixed order, so a resumed run replays the
+// remaining steps bitwise-identically to the uninterrupted one, on any
+// rank count.
+
+// checkpointPaths returns the forest and field file names of a base.
+func checkpointPaths(base string) (forest, fields string) {
+	return base + ".forest", base + ".fields"
+}
+
+// CheckpointExists reports whether both files of a checkpoint base are
+// present (the resume driver's "is there anything to resume from" probe).
+func CheckpointExists(base string) bool {
+	fp, dp := checkpointPaths(base)
+	if _, err := os.Stat(fp); err != nil {
+		return false
+	}
+	_, err := os.Stat(dp)
+	return err == nil
+}
+
+// SaveCheckpoint writes the forest and its field data (valsPerElem values
+// per local leaf, curve order) to base+".forest" and base+".fields".
+// Collective; the files are written to per-call unique temporary names
+// (TempPath) and renamed into place, so a crash mid-write never clobbers
+// the previous good checkpoint and concurrent writers sharing a base path
+// never clobber each other's temp files. All ranks return the same error.
+func (f *Forest) SaveCheckpoint(base string, valsPerElem int, meta FieldMeta, data []float64) error {
+	fp, dp := checkpointPaths(base)
+	// Only rank 0 touches the filesystem (Save/SaveFields gather through
+	// it), so only rank 0's temp names matter; each rank computing its own
+	// is harmless.
+	ftmp, dtmp := TempPath(fp), TempPath(dp)
+	err := f.Save(ftmp)
+	if err == nil {
+		err = f.SaveFields(dtmp, valsPerElem, meta, data)
+	}
+	if f.Comm.Rank() == 0 {
+		if err == nil {
+			if err = os.Rename(ftmp, fp); err == nil {
+				err = os.Rename(dtmp, dp)
+			}
+			if err == nil {
+				// Make the renames durable; the file contents were fsynced at
+				// write time, the directory entries are the remaining volatile
+				// piece of the atomic-replace protocol.
+				err = SyncDir(filepath.Dir(fp))
+			}
+		}
+		if err != nil {
+			// Unique temp names accumulate if left behind; sweep this
+			// writer's own on any failure (best effort).
+			os.Remove(ftmp)
+			os.Remove(dtmp)
+		}
+	}
+	return mpi.BcastErr(f.Comm, err)
+}
+
+// LoadCheckpoint restores a checkpoint written by SaveCheckpoint onto the
+// given communicator (any size) and connectivity (which must match the
+// one used at save time): the forest, this rank's slice of the field data
+// (valsPerElem values per leaf), and the saved step and time. Collective.
+func LoadCheckpoint(comm *mpi.Comm, conn *connectivity.Conn, base string, valsPerElem int) (*Forest, []float64, FieldMeta, error) {
+	fp, dp := checkpointPaths(base)
+	f, err := Load(comm, conn, fp)
+	if err != nil {
+		return nil, nil, FieldMeta{}, err
+	}
+	data, meta, err := f.LoadFields(dp, valsPerElem)
+	if err != nil {
+		return nil, nil, FieldMeta{}, err
+	}
+	return f, data, meta, nil
 }

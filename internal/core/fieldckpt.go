@@ -53,32 +53,11 @@ func (f *Forest) SaveFields(path string, valsPerElem int, meta FieldMeta, data [
 	parts := mpi.Gather(f.Comm, 0, append([]float64(nil), data...))
 	var err error
 	if f.Comm.Rank() == 0 {
-		err = saveFieldParts(path, valsPerElem, f.NumGlobal(), meta, parts)
+		err = writeFile(path, func(w *bufio.Writer) error {
+			return writeFieldParts(w, valsPerElem, f.NumGlobal(), meta, parts)
+		})
 	}
 	return mpi.BcastErr(f.Comm, err)
-}
-
-func saveFieldParts(path string, valsPerElem int, totalElems int64, meta FieldMeta, parts [][]float64) error {
-	file, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(file)
-	err = writeFieldParts(w, valsPerElem, totalElems, meta, parts)
-	if ferr := w.Flush(); err == nil && ferr != nil {
-		err = fmt.Errorf("core: flushing field checkpoint %s: %w", path, ferr)
-	}
-	if serr := fileSync(file); err == nil && serr != nil {
-		err = fmt.Errorf("core: syncing field checkpoint %s: %w", path, serr)
-	}
-	if cerr := file.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("core: closing field checkpoint %s: %w", path, cerr)
-	}
-	if err != nil {
-		os.Remove(path)
-		return err
-	}
-	return nil
 }
 
 func writeFieldParts(w *bufio.Writer, valsPerElem int, totalElems int64, meta FieldMeta, parts [][]float64) error {

@@ -20,7 +20,6 @@
 package experiments
 
 import (
-	"math"
 	"time"
 
 	"repro/internal/advect"
@@ -342,21 +341,13 @@ func RunFig9Obs(ranks int, opts seismic.Options, steps int, obs Obs) Fig9Row {
 	mpi.RunOpt(ranks, obs.runOptions(), func(c *mpi.Comm) {
 		c.Barrier()
 		t0 := time.Now()
-		var f *core.Forest
 		var s *seismic.Solver
-		c.Tracer().Span("meshing", func() {
-			f = seismic.BuildEarthForest(c, opts)
-			s = seismic.NewSolver(c, f, opts, func(p [3]float64) seismic.Material {
-				r := norm3(p) * seismic.EarthRadiusKm
-				return seismic.PREMMaterial(r)
-			})
-		})
+		c.Tracer().Span("meshing", func() { s = seismic.NewEarthSolver(c, opts) })
 		obs.rank("seismic", c.Rank(), s.Met)
 		meshing := mpi.AllreduceMax(c, time.Since(t0).Seconds())
 
 		// Earthquake-like source + initial quiet state.
-		s.Source = seismic.RickerSource([3]float64{0, 0, 0.9}, [3]float64{0, 0, 1},
-			opts.FreqHz*500, 1, 0.05)
+		s.Source = seismic.EarthSource(opts)
 		dt := s.DT()
 		c.Barrier()
 		t1 := time.Now()
@@ -407,15 +398,8 @@ func RunFig10Obs(ranks int, opts seismic.Options, steps int, obs Obs) Fig10Row {
 	mpi.RunOpt(ranks, obs.runOptions(), func(c *mpi.Comm) {
 		c.Barrier()
 		t0 := time.Now()
-		var f *core.Forest
 		var s *seismic.Solver
-		c.Tracer().Span("meshing", func() {
-			f = seismic.BuildEarthForest(c, opts)
-			s = seismic.NewSolver(c, f, opts, func(p [3]float64) seismic.Material {
-				r := norm3(p) * seismic.EarthRadiusKm
-				return seismic.PREMMaterial(r)
-			})
-		})
+		c.Tracer().Span("meshing", func() { s = seismic.NewEarthSolver(c, opts) })
 		obs.rank("seismic", c.Rank(), s.Met)
 		meshing := mpi.AllreduceMax(c, time.Since(t0).Seconds())
 
@@ -446,8 +430,4 @@ func RunFig10Obs(ranks int, opts seismic.Options, steps int, obs Obs) Fig10Row {
 		}
 	})
 	return row
-}
-
-func norm3(p [3]float64) float64 {
-	return math.Sqrt(p[0]*p[0] + p[1]*p[1] + p[2]*p[2])
 }

@@ -294,19 +294,6 @@ func (m *Mesh) ExchangeGhost(nc int, field []float64) {
 	m.StartGhostExchange(nc, field).Finish()
 }
 
-// FaceValues, MyFaceValues, InterpFaceToQuad, ApplyD, LiftFace, and
-// LiftFaceStrided are the serial convenience forms of the Work methods of
-// the same names, delegating to the mesh's Work 0. They exist for callers
-// outside a kernel application (tests, diagnostics, the device backend's
-// host reference); kernel hooks must use the Work they are handed instead
-// — these wrappers share Work 0's scratch with pool worker 0.
-
-// FaceValues extracts the neighbour's face values for a link, aligned to
-// my face grid, into out. See Work.FaceValues.
-func (m *Mesh) FaceValues(l *FaceLink, nc, comp int, field []float64, out []float64) {
-	m.works[0].FaceValues(l, nc, comp, field, out)
-}
-
 // tensor2ApplyBuf computes out = (A (x) B) u on an n x n grid: out[i,j] =
 // sum_{p,q} A[i*n+p] B[j*n+q] u[p,q]. a and b are row-major n x n
 // matrices; tmp is caller-provided scratch (len n*n; must not alias u or
@@ -336,12 +323,6 @@ func tensor2ApplyBuf(n int, a, b []float64, u, out, tmp []float64) {
 	}
 }
 
-// MyFaceValues extracts my own element's face values for a link into out.
-// See Work.MyFaceValues.
-func (m *Mesh) MyFaceValues(l *FaceLink, nc, comp int, field []float64, out []float64) {
-	m.works[0].MyFaceValues(l, nc, comp, field, out)
-}
-
 // quadInterp returns the flat 1D interpolation matrices for the link's
 // quadrant.
 func (m *Mesh) quadInterp(l *FaceLink) (qi, qj []float64) {
@@ -354,24 +335,6 @@ func (m *Mesh) quadInterp(l *FaceLink) (qi, qj []float64) {
 		qj = m.ihiF
 	}
 	return qi, qj
-}
-
-// InterpFaceToQuad interpolates values given at my full face's nodes onto
-// the fine grid of the link's quadrant (LinkToFineQuad only), in my frame.
-func (m *Mesh) InterpFaceToQuad(l *FaceLink, face, out []float64) {
-	m.works[0].InterpFaceToQuad(l, face, out)
-}
-
-// ApplyD differentiates one element's nodal values along reference
-// direction a. u and out may alias.
-func (m *Mesh) ApplyD(a int, u, out []float64) {
-	m.works[0].ApplyD(a, u, out)
-}
-
-// LiftFace accumulates the surface contribution of a link into the volume
-// residual. See Work.LiftFace.
-func (m *Mesh) LiftFace(l *FaceLink, g, dc []float64) {
-	m.works[0].LiftFace(l, g, dc)
 }
 
 // weightedTranspose returns Pw[i][j] = 0.5 * W[j] * I[j][i], the half-face
@@ -388,12 +351,6 @@ func weightedTranspose(l *LGL, in [][]float64) [][]float64 {
 	return out
 }
 
-// LiftFaceStrided is LiftFace for field arrays with nc interleaved
-// components per node, accumulating into component comp of dc.
-func (m *Mesh) LiftFaceStrided(l *FaceLink, nc, comp int, g, dc []float64) {
-	m.works[0].LiftFaceStrided(l, nc, comp, g, dc)
-}
-
 // quadWeighted returns the flat weighted-transpose transfer operators for
 // the link's quadrant.
 func (m *Mesh) quadWeighted(l *FaceLink) (pwi, pwj []float64) {
@@ -407,4 +364,3 @@ func (m *Mesh) quadWeighted(l *FaceLink) (pwi, pwj []float64) {
 	}
 	return pwi, pwj
 }
-

@@ -261,13 +261,14 @@ func TestFaceValueWatertight(t *testing.T) {
 					m.ExchangeGhost(1, nfield)
 					mine := make([]float64, m.Nf)
 					theirs := make([]float64, m.Nf)
+					w := m.SerialWork()
 					for li := range m.Links {
 						l := &m.Links[li]
 						if l.Kind == LinkBoundary {
 							continue
 						}
-						m.MyFaceValues(l, 1, 0, nfield, mine)
-						m.FaceValues(l, 1, 0, nfield, theirs)
+						w.MyFaceValues(l, 1, 0, nfield, mine)
+						w.FaceValues(l, 1, 0, nfield, theirs)
 						for fn := 0; fn < m.Nf; fn++ {
 							if math.Abs(mine[fn]-theirs[fn]) > tc.tol {
 								t.Fatalf("p=%d link %d (kind %d, elem %d face %d): |%v - %v| at fn=%d",
@@ -298,14 +299,15 @@ func TestFaceCoordsWatertightShell(t *testing.T) {
 		m.ExchangeGhost(3, field)
 		mine := make([]float64, m.Nf)
 		theirs := make([]float64, m.Nf)
+		w := m.SerialWork()
 		for li := range m.Links {
 			l := &m.Links[li]
 			if l.Kind != LinkEqual {
 				continue // hanging faces: interpolated coords differ at h^{N+1}
 			}
 			for a := 0; a < 3; a++ {
-				m.MyFaceValues(l, 3, a, field, mine)
-				m.FaceValues(l, 3, a, field, theirs)
+				w.MyFaceValues(l, 3, a, field, mine)
+				w.FaceValues(l, 3, a, field, theirs)
 				for fn := 0; fn < m.Nf; fn++ {
 					if math.Abs(mine[fn]-theirs[fn]) > 1e-11 {
 						t.Fatalf("coords not watertight at link %d comp %d: %v vs %v", li, a, mine[fn], theirs[fn])

@@ -156,8 +156,8 @@ type Mesh struct {
 	MinLen float64
 
 	// Kernel driver state (see kernel.go): one Work context per pool
-	// worker (works[0] doubles as the serial context behind the Mesh
-	// convenience wrappers), the identity element list handed to serial
+	// worker (works[0] doubles as the serial context, SerialWork), the
+	// identity element list handed to serial
 	// Volume hooks, and the fixed deterministic batch partition the pool
 	// path fans out.
 	works    []*Work

@@ -54,13 +54,23 @@ func BuildEarthForest(comm *mpi.Comm, opts Options) *core.Forest {
 }
 
 // NewEarthSolver builds the full dGea setup: wavelength-adapted ball mesh
-// with the PREM material model (radius normalized to the unit ball).
+// with the PREM material model (EarthMaterial).
 func NewEarthSolver(comm *mpi.Comm, opts Options) *Solver {
-	f := BuildEarthForest(comm, opts)
-	return NewSolver(comm, f, opts, func(p [3]float64) Material {
-		r := math.Sqrt(p[0]*p[0]+p[1]*p[1]+p[2]*p[2]) * EarthRadiusKm
-		return PREMMaterial(r)
-	})
+	return NewSolver(comm, BuildEarthForest(comm, opts), opts, EarthMaterial)
+}
+
+// EarthMaterial is the PREM material at a point of the unit ball (the
+// radius is scaled to the earth's).
+func EarthMaterial(p [3]float64) Material {
+	r := math.Sqrt(p[0]*p[0]+p[1]*p[1]+p[2]*p[2]) * EarthRadiusKm
+	return PREMMaterial(r)
+}
+
+// EarthSource is the earthquake-like excitation of the earth runs: a
+// Ricker pulse at 0.9 of the radius on the z axis, pointing radially,
+// with its peak frequency scaled from the meshing frequency.
+func EarthSource(opts Options) func(t float64, p [3]float64) [3]float64 {
+	return RickerSource([3]float64{0, 0, 0.9}, [3]float64{0, 0, 1}, opts.FreqHz*500, 1, 0.05)
 }
 
 // AdaptToWavefront performs one dynamic adaptation cycle tracking the

@@ -1,69 +1,15 @@
 package seismic
 
 import (
-	"os"
-	"path/filepath"
-
 	"repro/internal/connectivity"
 	"repro/internal/core"
 	"repro/internal/mpi"
 )
 
-// Checkpoint/restart mirrors the advect driver: forest via core.Save/Load
-// plus the versioned field format holding the NC velocity-strain fields
-// per node. Everything else the solver carries — mesh, materials, maxVp,
-// dt — is a deterministic function of forest, options, and material
-// model, so a resumed run replays the remaining steps bitwise-identically
-// to the uninterrupted one.
-
-func checkpointPaths(base string) (forest, fields string) {
-	return base + ".forest", base + ".fields"
-}
-
-// CheckpointExists reports whether both files of a checkpoint base exist.
-func CheckpointExists(base string) bool {
-	fp, dp := checkpointPaths(base)
-	if _, err := os.Stat(fp); err != nil {
-		return false
-	}
-	_, err := os.Stat(dp)
-	return err == nil
-}
-
-// SaveCheckpoint writes the solver state at step to base+".forest" and
-// base+".fields" (written under per-call unique temp names via
-// core.TempPath and renamed into place, so a crash mid-write never
-// clobbers the previous good checkpoint and concurrent writers sharing a
-// base path never clobber each other's temp files). Collective; all
-// ranks return the same error.
+// SaveCheckpoint writes the solver state at step to the checkpoint base
+// (see core.SaveCheckpoint). Collective; all ranks return the same error.
 func (s *Solver) SaveCheckpoint(base string, step int64) error {
-	fp, dp := checkpointPaths(base)
-	// Only rank 0 touches the filesystem; each rank computing its own
-	// temp names is harmless.
-	ftmp, dtmp := core.TempPath(fp), core.TempPath(dp)
-	err := s.F.Save(ftmp)
-	if err == nil {
-		meta := core.FieldMeta{Step: step, Time: s.Time}
-		err = s.F.SaveFields(dtmp, s.Mesh.Np*NC, meta, s.Q)
-	}
-	if s.Comm.Rank() == 0 {
-		if err == nil {
-			if err = os.Rename(ftmp, fp); err == nil {
-				err = os.Rename(dtmp, dp)
-			}
-			if err == nil {
-				// Make the renames durable; the file contents were fsynced at
-				// write time, the directory entries are the remaining volatile
-				// piece of the atomic-replace protocol.
-				err = core.SyncDir(filepath.Dir(fp))
-			}
-		}
-		if err != nil {
-			os.Remove(ftmp)
-			os.Remove(dtmp)
-		}
-	}
-	err = mpi.BcastErr(s.Comm, err)
+	err := s.F.SaveCheckpoint(base, s.Mesh.Np*NC, core.FieldMeta{Step: step, Time: s.Time}, s.Q)
 	if err == nil {
 		s.Met.AddCount("checkpoint_saves", 1)
 		s.Met.Gauge("checkpoint_last_step").Set(step)
@@ -78,39 +24,45 @@ func (s *Solver) SaveCheckpoint(base string, step int64) error {
 // caller.
 func Resume(comm *mpi.Comm, conn *connectivity.Conn, opts Options,
 	matFn func(p [3]float64) Material, base string) (*Solver, int64, error) {
-	fp, dp := checkpointPaths(base)
-	f, err := core.Load(comm, conn, fp)
+	np1 := opts.Degree + 1
+	f, data, meta, err := core.LoadCheckpoint(comm, conn, base, np1*np1*np1*NC)
 	if err != nil {
 		return nil, 0, err
 	}
 	s := NewSolver(comm, f, opts, matFn)
-	data, meta, err := f.LoadFields(dp, s.Mesh.Np*NC)
-	if err != nil {
-		return nil, 0, err
-	}
 	s.Q = data
 	s.Time = meta.Time
 	return s, meta.Step, nil
 }
 
-// RunCheckpointed advances the solver from step start+1 through nsteps,
-// writing a checkpoint to base every `every` steps and calling
-// Comm.CrashPoint at each step boundary so an injected rank crash fires
-// between steps. A fresh run passes start = 0; a resumed run passes the
-// step returned by Resume.
-func (s *Solver) RunCheckpointed(nsteps, every int, base string, start int64) error {
-	dt := s.DT()
-	for step := start + 1; step <= int64(nsteps); step++ {
-		s.Comm.CrashPoint(int(step))
-		s.Step(dt)
-		if every > 0 && base != "" && step%int64(every) == 0 {
-			if err := s.SaveCheckpoint(base, step); err != nil {
-				return err
-			}
+// OpenEarth is the earth run's build-or-resume constructor: with base ""
+// it builds the PREM earth solver (NewEarthSolver), otherwise it restores
+// the one checkpointed at base. Either way the EarthSource is attached
+// (the source is not part of the checkpoint). It returns the step the run
+// continues after, 0 for a fresh build.
+func OpenEarth(comm *mpi.Comm, opts Options, base string) (*Solver, int64, error) {
+	var s *Solver
+	var start int64
+	if base == "" {
+		s = NewEarthSolver(comm, opts)
+	} else {
+		var err error
+		s, start, err = Resume(comm, EarthConn(), opts, EarthMaterial, base)
+		if err != nil {
+			return nil, 0, err
 		}
 	}
-	return nil
+	s.Source = EarthSource(opts)
+	return s, start, nil
 }
+
+// Adapt is the lifecycle driver's adaptation hook. The earth run keeps
+// its wavelength-adapted mesh, so it never changes anything; dynamic
+// wavefront tracking is AdaptToWavefront, which takes tolerances.
+func (s *Solver) Adapt() bool { return false }
+
+// SimTime returns the simulation time reached.
+func (s *Solver) SimTime() float64 { return s.Time }
 
 // FieldHash returns the collective bitwise fingerprint of the solver
 // state (all NC fields in global curve order plus the simulation time),

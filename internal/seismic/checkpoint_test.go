@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/connectivity"
 	"repro/internal/core"
+	"repro/internal/lifecycle"
 	"repro/internal/mpi"
 )
 
@@ -47,7 +48,7 @@ func TestSeismicCrashResumeBitwise(t *testing.T) {
 	var want uint64
 	mpi.Run(p, func(c *mpi.Comm) {
 		s, _, _ := ckptSolver(c)
-		if err := s.RunCheckpointed(nsteps, 0, "", 0); err != nil {
+		if _, err := (lifecycle.Schedule{Steps: nsteps}).Run(c, s, 0); err != nil {
 			t.Errorf("reference run: %v", err)
 		}
 		if h := s.FieldHash(); c.Rank() == 0 {
@@ -60,12 +61,13 @@ func TestSeismicCrashResumeBitwise(t *testing.T) {
 	plan.CrashStep = 5
 	err := mpi.RunErrFault(p, nil, plan, func(c *mpi.Comm) error {
 		s, _, _ := ckptSolver(c)
-		return s.RunCheckpointed(nsteps, every, base, 0)
+		_, err := (lifecycle.Schedule{Steps: nsteps, CheckpointEvery: every, Base: base}).Run(c, s, 0)
+		return err
 	})
 	if !mpi.IsInjectedCrash(err) {
 		t.Fatalf("want injected crash, got %v", err)
 	}
-	if !CheckpointExists(base) {
+	if !core.CheckpointExists(base) {
 		t.Fatal("no checkpoint written before the crash")
 	}
 
@@ -81,7 +83,7 @@ func TestSeismicCrashResumeBitwise(t *testing.T) {
 		if start != 4 {
 			t.Errorf("resumed at step %d, want 4", start)
 		}
-		if err := s.RunCheckpointed(nsteps, every, base, start); err != nil {
+		if _, err := (lifecycle.Schedule{Steps: nsteps, CheckpointEvery: every, Base: base}).Run(c, s, start); err != nil {
 			return err
 		}
 		if h := s.FieldHash(); c.Rank() == 0 {
@@ -105,7 +107,7 @@ func TestSeismicChaosBitwise(t *testing.T) {
 		var h uint64
 		err := mpi.RunErrFault(p, nil, plan, func(c *mpi.Comm) error {
 			s, _, _ := ckptSolver(c)
-			if err := s.RunCheckpointed(4, 0, "", 0); err != nil {
+			if _, err := (lifecycle.Schedule{Steps: 4}).Run(c, s, 0); err != nil {
 				return err
 			}
 			if hh := s.FieldHash(); c.Rank() == 0 {

@@ -238,7 +238,7 @@ func tensor2Apply32(n int, a, b [][]float32, u, out []float32) {
 
 // faceVals32 extracts a component's face values for a link from the
 // staged local+ghost array, aligned to my face grid (float32 mirror of
-// Mesh.FaceValues / MyFaceValues).
+// Work.FaceValues / MyFaceValues).
 func (d *Device) faceVals32(l *mangll.FaceLink, mineSide bool, comp int, q []float32, out []float32) {
 	m := d.S.Mesh
 	np1 := m.Np1

@@ -3,6 +3,7 @@ package seismic
 import (
 	"testing"
 
+	"repro/internal/lifecycle"
 	"repro/internal/mpi"
 )
 
@@ -18,7 +19,7 @@ func TestSeismicCrossTransportBitwise(t *testing.T) {
 		var h uint64
 		mpi.RunOpt(p, mpi.RunOptions{Transport: tp}, func(c *mpi.Comm) {
 			s, _, _ := ckptSolver(c)
-			if err := s.RunCheckpointed(4, 0, "", 0); err != nil {
+			if _, err := (lifecycle.Schedule{Steps: 4}).Run(c, s, 0); err != nil {
 				t.Errorf("%s: run: %v", tp, err)
 			}
 			if hh := s.FieldHash(); c.Rank() == 0 {

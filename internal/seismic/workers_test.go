@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/lifecycle"
 	"repro/internal/mpi"
 	"repro/internal/raceflag"
 )
@@ -15,7 +16,7 @@ func seisWorkersHash(t *testing.T, p, workers int, transport string, noOverlap b
 	var h uint64
 	mpi.RunOpt(p, mpi.RunOptions{Workers: workers, Transport: transport}, func(c *mpi.Comm) {
 		s := overlapSolver(c, noOverlap)
-		if err := s.RunCheckpointed(4, 0, "", 0); err != nil {
+		if _, err := (lifecycle.Schedule{Steps: 4}).Run(c, s, 0); err != nil {
 			t.Errorf("w=%d %s noOverlap=%v: run: %v", workers, transport, noOverlap, err)
 		}
 		if hh := s.FieldHash(); c.Rank() == 0 {

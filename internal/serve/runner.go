@@ -2,12 +2,11 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/advect"
+	"repro/internal/lifecycle"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/rhea"
@@ -17,121 +16,159 @@ import (
 	"repro/internal/vtk"
 )
 
-// plan assembles a FaultSpec into the runtime's schedule, nil when the
-// spec is absent (nil keeps the transport on its zero-overhead path).
-func (f *FaultSpec) plan() *mpi.FaultPlan {
-	if f == nil {
-		return nil
-	}
-	return &mpi.FaultPlan{
-		Seed: f.Seed,
-		Drop: f.Drop, Dup: f.Dup, Delay: f.Delay,
-		Reorder: f.Reorder, Stall: f.Stall,
-		MaxDelay: 200 * time.Microsecond, RetryTimeout: 100 * time.Microsecond,
-		CrashRank: f.CrashRank, CrashStep: f.CrashStep,
-	}
-}
-
-// migrateRanks picks the world size for a restarted job: always different
-// from the crashed attempt's — the restart is a live migration, and the
-// rank-count-independent checkpoint format is what makes it free. Shrink
-// when possible (the crash may have been resource pressure), grow a
-// 1-rank world.
-func migrateRanks(r int) int {
-	if r > 1 {
-		return r - 1
-	}
-	return r + 1
-}
-
-// runJob executes one job to success or final failure: a restart loop
-// around single-world attempts, resuming from the job's last checkpoint
-// on a migrated rank count whenever an injected crash takes a world down.
+// runJob executes one job to success or final failure. Advect and seismic
+// jobs run through the lifecycle driver, which resumes a crashed job from
+// its last checkpoint on a migrated rank count; mantle jobs run one world.
 // On return the job directory holds its checkpoints, VTK frames, traces,
-// flight-recorder dumps of crashed attempts, and a manifest.
-func (s *Scheduler) runJob(j *Job) error {
+// flight-recorder dumps of crashed attempts, and a manifest. A panicking
+// world is contained: the panic becomes this job's error, the server
+// lives on.
+func (s *Scheduler) runJob(j *Job) (err error) {
 	spec := j.Spec
 	if err := os.MkdirAll(filepath.Join(j.Dir, "ckpt"), 0o755); err != nil {
 		return err
 	}
-
 	// Per-job telemetry bucket: an unlistened Server used purely as the
 	// merge point for the job's world + solver registries, so the job's
 	// manifest reflects this job's run and nothing else. The scheduler's
 	// own listener keeps serving the global view.
-	jtel := telemetry.NewServer()
-	manifest := telemetry.NewManifestConfig("serve/"+spec.Type, spec.ConfigMap())
+	r := &jobRun{s: s, j: j, jtel: telemetry.NewServer()}
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("serve: job %s attempt %d panicked: %v", j.ID, r.attempt, p)
+		}
+	}()
+	var plan *mpi.FaultPlan
+	if f := spec.Fault; f != nil {
+		plan = lifecycle.Faults(mpi.FaultPlan{
+			Seed: f.Seed, Drop: f.Drop, Dup: f.Dup, Delay: f.Delay, Reorder: f.Reorder,
+			Stall: f.Stall, CrashRank: f.CrashRank, CrashStep: f.CrashStep,
+		})
+	}
 
-	plan := spec.Fault.plan()
-	ranks := spec.Ranks
-	resume := false
-	var lastErr error
-	for restarts := 0; ; restarts++ {
-		attemptNo := j.beginAttempt(ranks)
-		err := s.attempt(j, jtel, attemptNo, ranks, plan, resume)
+	complete := true
+	if spec.Type == TypeMantle {
+		if j.canceled.Load() {
+			return nil // nothing ran, nothing to report
+		}
+		opts := r.world(spec.Ranks)
+		opts.Plan = plan
+		err = lifecycle.Guard(spec.Ranks, opts, j.Dir, r.runMantle)
+	} else {
+		job := lifecycle.Job{
+			Schedule: lifecycle.Schedule{
+				Steps: spec.Steps, AdaptEvery: spec.AdaptEvery, CheckpointEvery: spec.CheckpointEvery,
+				Base:   filepath.Join(j.Dir, "ckpt", spec.Type),
+				Cancel: j.canceled.Load, OnStep: r.onStep,
+			},
+			Ranks: spec.Ranks, Open: r.open, Plan: plan, MaxRestarts: spec.MaxRestarts,
+			World: r.world, FlightDir: j.Dir, OnRestart: r.onRestart,
+		}
+		var res lifecycle.Result
+		res, err = job.Run()
+		// Only a run that reached its last step has a final state to
+		// fingerprint; a canceled one reports how far it got.
+		complete = res.Steps == int64(spec.Steps)
 		if err == nil {
-			lastErr = nil
-			break
+			j.mu.Lock()
+			j.fieldHash, j.hashValid = res.Hash, complete
+			j.result = map[string]float64{"steps": float64(res.Steps)}
+			j.mu.Unlock()
 		}
-		lastErr = err
-		if !mpi.IsInjectedCrash(err) || restarts >= spec.MaxRestarts {
-			break
-		}
-		ckpt := filepath.Join(j.Dir, "ckpt", spec.Type)
-		if spec.Type == TypeMantle || spec.CheckpointEvery <= 0 ||
-			!checkpointExists(spec.Type, ckpt) {
-			// Nothing to resume from; a restart would replay from scratch
-			// and (with the crash disarmed) still converge, but without a
-			// checkpoint there is no migration story — fail honestly.
-			break
-		}
-		j.events.append("crash", map[string]any{
-			"attempt": attemptNo, "ranks": ranks, "error": err.Error(),
-		})
-		// The crashed process does not crash again: disarm the injected
-		// crash, keep the rest of the chaos plan active.
-		if plan != nil {
-			p := *plan
-			p.CrashRank = -1
-			plan = &p
-		}
-		next := migrateRanks(ranks)
-		j.events.append("migrate", map[string]any{
-			"from_ranks": ranks, "to_ranks": next,
-		})
-		s.met.AddCount("jobs_restarted", 1)
-		ranks = next
-		resume = true
 	}
-	if lastErr != nil {
-		return lastErr
+	if err != nil {
+		return err
 	}
-
+	// The successful attempt's timeline is part of the streamed results
+	// (open in Perfetto / chrome://tracing).
+	if err := r.tr.WriteChromeTraceFile(filepath.Join(j.Dir, "trace.json")); err != nil {
+		return err
+	}
+	manifest := telemetry.NewManifestConfig("serve/"+spec.Type, spec.ConfigMap())
 	manifest.Transport = s.transportFor(spec)
 	manifest.Workers = spec.Workers
-	manifest.Finish(jtel)
+	manifest.Finish(r.jtel)
 	if err := manifest.WriteFile(filepath.Join(j.Dir, "manifest.json")); err != nil {
 		return err
 	}
-	attempts, hist := j.Attempts()
-	data := map[string]any{"attempts": attempts, "ranks_used": hist}
-	if h, ok := j.FieldHash(); ok {
-		data["field_hash"] = fmt.Sprintf("%#016x", h)
+	if complete {
+		attempts, hist := j.Attempts()
+		data := map[string]any{"attempts": attempts, "ranks_used": hist}
+		if h, ok := j.FieldHash(); ok {
+			data["field_hash"] = fmt.Sprintf("%#016x", h)
+		}
+		j.events.append("result", data)
 	}
-	j.events.append("result", data)
 	return nil
 }
 
-// checkpointExists dispatches the per-type "anything to resume from"
-// probe.
-func checkpointExists(typ, base string) bool {
-	switch typ {
-	case TypeAdvect:
-		return advect.CheckpointExists(base)
-	case TypeSeismic:
-		return seismic.CheckpointExists(base)
+// jobRun is a job's state across its attempts and the hooks it plugs into
+// the lifecycle driver. attempt and tr describe the world in flight.
+type jobRun struct {
+	s       *Scheduler
+	j       *Job
+	jtel    *telemetry.Server
+	attempt int
+	tr      *trace.Tracer
+}
+
+// world starts an attempt: it records the world start (the rank count goes
+// into the migration-visible history) and replaces the job's telemetry
+// sources wholesale, so the manifest describes the attempt that produced
+// the result, not a blend including half-finished crashed worlds.
+func (r *jobRun) world(ranks int) mpi.RunOptions {
+	r.attempt = r.j.beginAttempt(ranks)
+	r.jtel.ResetSources()
+	w := metrics.NewSharded(ranks)
+	r.jtel.RegisterWorld(w)
+	r.tr = trace.NewRing(ranks, r.s.cfg.TraceCap)
+	return mpi.RunOptions{Tracer: r.tr, Metrics: w, Transport: r.s.transportFor(r.j.Spec), Workers: r.j.Spec.Workers}
+}
+
+// open builds or resumes one rank's solver for the job's type.
+func (r *jobRun) open(c *mpi.Comm, from string) (lifecycle.Physics, int64, error) {
+	if r.j.Spec.Type == TypeSeismic {
+		sol, start, err := seismic.OpenEarth(c, seismicOpts(r.j.Spec), from)
+		if err != nil {
+			return nil, 0, err
+		}
+		r.jtel.Register("seismic", c.Rank(), sol.Met)
+		return sol, start, nil
 	}
-	return false
+	sol, start, err := advect.OpenShell(c, advectOpts(r.j.Spec), from)
+	if err != nil {
+		return nil, 0, err
+	}
+	r.jtel.Register("advect", c.Rank(), sol.Met)
+	return sol, start, nil
+}
+
+// onStep streams a completed step: its checkpoint, an advect VTK frame,
+// and its progress.
+func (r *jobRun) onStep(c *mpi.Comm, p lifecycle.Physics, step int64, saved bool) error {
+	spec := r.j.Spec
+	if saved && c.Rank() == 0 {
+		r.j.events.append("checkpoint", map[string]any{"step": step})
+	}
+	if sol, ok := p.(*advect.Solver); ok && spec.VTKEvery > 0 && step%int64(spec.VTKEvery) == 0 {
+		if err := writeAdvectFrame(r.j, sol, step); err != nil {
+			return err
+		}
+	}
+	if c.Rank() == 0 {
+		r.j.events.append("progress", map[string]any{
+			"step": step, "steps": spec.Steps, "sim_time": p.SimTime(),
+			"attempt": r.attempt, "ranks": c.Size(),
+		})
+	}
+	return nil
+}
+
+// onRestart reports a crash recovery in the event stream and metrics.
+func (r *jobRun) onRestart(err error, from, to int) {
+	r.j.events.append("crash", map[string]any{"attempt": r.attempt, "ranks": from, "error": err.Error()})
+	r.j.events.append("migrate", map[string]any{"from_ranks": from, "to_ranks": to})
+	r.s.met.AddCount("jobs_restarted", 1)
 }
 
 // transportFor resolves the fabric a job's worlds use.
@@ -142,64 +179,6 @@ func (s *Scheduler) transportFor(spec JobSpec) string {
 	return s.cfg.DefaultTransport
 }
 
-// attempt runs one world of the job: build or resume the solver, step it
-// with cancellation polling, periodic checkpoints, progress events, and
-// VTK frames, all under a ring tracer guarded by the flight recorder (a
-// crash leaves the last spans of every rank in the job directory). A
-// panicking world is contained: the panic becomes this job's error, the
-// server lives on.
-func (s *Scheduler) attempt(j *Job, jtel *telemetry.Server, attemptNo, ranks int,
-	plan *mpi.FaultPlan, resume bool) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("serve: job %s attempt %d panicked: %v", j.ID, attemptNo, p)
-		}
-	}()
-
-	// Each attempt replaces the job's telemetry sources wholesale: the
-	// manifest should describe the attempt that produced the result, not a
-	// blend including half-finished crashed worlds.
-	jtel.ResetSources()
-	world := metrics.NewSharded(ranks)
-	jtel.RegisterWorld(world)
-
-	tr := trace.NewRing(ranks, s.cfg.TraceCap)
-	fr := telemetry.NewFlightRecorder(tr, j.Dir)
-	opts := mpi.RunOptions{
-		Tracer: tr, Plan: plan, Metrics: world,
-		Transport: s.transportFor(j.Spec), Workers: j.Spec.Workers,
-	}
-	err = fr.Guard(func() error {
-		switch j.Spec.Type {
-		case TypeAdvect:
-			return s.runAdvect(j, jtel, attemptNo, ranks, opts, resume)
-		case TypeSeismic:
-			return s.runSeismic(j, jtel, attemptNo, ranks, opts, resume)
-		default:
-			return s.runMantle(j, jtel, ranks, opts)
-		}
-	})
-	if err == nil {
-		// The successful attempt's timeline is part of the streamed
-		// results (open in Perfetto / chrome://tracing).
-		if terr := tr.WriteChromeTraceFile(filepath.Join(j.Dir, "trace.json")); terr != nil {
-			return terr
-		}
-	}
-	return err
-}
-
-// checkCancel is the per-step cooperative cancellation point: rank 0
-// reads the job's flag and every rank receives the same verdict, so the
-// world unwinds collectively instead of deadlocking half-stopped.
-func checkCancel(c *mpi.Comm, j *Job) bool {
-	stop := false
-	if c.Rank() == 0 {
-		stop = j.canceled.Load()
-	}
-	return mpi.Bcast(c, 0, stop)
-}
-
 // advectOpts maps a job spec onto the shell-advection solver.
 func advectOpts(spec JobSpec) advect.Options {
 	o := advect.DefaultOptions()
@@ -207,72 +186,6 @@ func advectOpts(spec JobSpec) advect.Options {
 	o.Level = int8(spec.Level)
 	o.MaxLevel = int8(spec.MaxLevel)
 	return o
-}
-
-func (s *Scheduler) runAdvect(j *Job, jtel *telemetry.Server, attemptNo, ranks int,
-	ropts mpi.RunOptions, resume bool) error {
-	spec := j.Spec
-	opts := advectOpts(spec)
-	base := filepath.Join(j.Dir, "ckpt", spec.Type)
-	var hash uint64
-	err := mpi.RunErrOpt(ranks, ropts, func(c *mpi.Comm) error {
-		var sol *advect.Solver
-		var start int64
-		if resume && advect.CheckpointExists(base) {
-			var err error
-			sol, start, err = advect.ResumeShell(c, opts, base)
-			if err != nil {
-				return err
-			}
-		} else {
-			sol = advect.NewShell(c, opts)
-		}
-		jtel.Register("advect", c.Rank(), sol.Met)
-		dt := sol.DT()
-		for step := start + 1; step <= int64(spec.Steps); step++ {
-			if checkCancel(c, j) {
-				return nil
-			}
-			c.CrashPoint(int(step))
-			sol.Step(dt)
-			if spec.AdaptEvery > 0 && step%int64(spec.AdaptEvery) == 0 {
-				if sol.Adapt() {
-					dt = sol.DT()
-				}
-			}
-			if spec.CheckpointEvery > 0 && step%int64(spec.CheckpointEvery) == 0 {
-				if err := sol.SaveCheckpoint(base, step); err != nil {
-					return err
-				}
-				if c.Rank() == 0 {
-					j.events.append("checkpoint", map[string]any{"step": step})
-				}
-			}
-			if spec.VTKEvery > 0 && step%int64(spec.VTKEvery) == 0 {
-				if err := writeAdvectFrame(j, sol, step); err != nil {
-					return err
-				}
-			}
-			if c.Rank() == 0 {
-				j.events.append("progress", map[string]any{
-					"step": step, "steps": spec.Steps, "sim_time": sol.Time,
-					"attempt": attemptNo, "ranks": ranks,
-				})
-			}
-		}
-		if h := sol.FieldHash(); c.Rank() == 0 {
-			hash = h
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	j.fieldHash, j.hashValid = hash, true
-	j.result = map[string]float64{"steps": float64(spec.Steps)}
-	j.mu.Unlock()
-	return nil
 }
 
 // writeAdvectFrame streams one VTK frame of the concentration field (cell
@@ -307,72 +220,6 @@ func seismicOpts(spec JobSpec) seismic.Options {
 	return o
 }
 
-func premMat(p [3]float64) seismic.Material {
-	r := math.Sqrt(p[0]*p[0]+p[1]*p[1]+p[2]*p[2]) * seismic.EarthRadiusKm
-	return seismic.PREMMaterial(r)
-}
-
-func (s *Scheduler) runSeismic(j *Job, jtel *telemetry.Server, attemptNo, ranks int,
-	ropts mpi.RunOptions, resume bool) error {
-	spec := j.Spec
-	opts := seismicOpts(spec)
-	base := filepath.Join(j.Dir, "ckpt", spec.Type)
-	source := seismic.RickerSource([3]float64{0, 0, 0.9}, [3]float64{0, 0, 1},
-		opts.FreqHz*500, 1, 0.05)
-	var hash uint64
-	err := mpi.RunErrOpt(ranks, ropts, func(c *mpi.Comm) error {
-		var sol *seismic.Solver
-		var start int64
-		if resume && seismic.CheckpointExists(base) {
-			var err error
-			sol, start, err = seismic.Resume(c, seismic.EarthConn(), opts, premMat, base)
-			if err != nil {
-				return err
-			}
-		} else {
-			f := seismic.BuildEarthForest(c, opts)
-			sol = seismic.NewSolver(c, f, opts, premMat)
-		}
-		// The source is not part of the checkpoint; re-attach on resume.
-		sol.Source = source
-		jtel.Register("seismic", c.Rank(), sol.Met)
-		dt := sol.DT()
-		for step := start + 1; step <= int64(spec.Steps); step++ {
-			if checkCancel(c, j) {
-				return nil
-			}
-			c.CrashPoint(int(step))
-			sol.Step(dt)
-			if spec.CheckpointEvery > 0 && step%int64(spec.CheckpointEvery) == 0 {
-				if err := sol.SaveCheckpoint(base, step); err != nil {
-					return err
-				}
-				if c.Rank() == 0 {
-					j.events.append("checkpoint", map[string]any{"step": step})
-				}
-			}
-			if c.Rank() == 0 {
-				j.events.append("progress", map[string]any{
-					"step": step, "steps": spec.Steps, "sim_time": sol.Time,
-					"attempt": attemptNo, "ranks": ranks,
-				})
-			}
-		}
-		if h := sol.FieldHash(); c.Rank() == 0 {
-			hash = h
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	j.fieldHash, j.hashValid = hash, true
-	j.result = map[string]float64{"steps": float64(spec.Steps)}
-	j.mu.Unlock()
-	return nil
-}
-
 // rheaOpts maps a job spec onto the mantle-convection model, shrunk to
 // service scale.
 func rheaOpts(spec JobSpec) rhea.Options {
@@ -385,29 +232,17 @@ func rheaOpts(spec JobSpec) rhea.Options {
 	return o
 }
 
-// runMantle runs the nonlinear Stokes solve. Mantle jobs have no step
-// boundaries, so no checkpoints, cancellation points, or crash injection
-// — the Report is the whole result.
-func (s *Scheduler) runMantle(j *Job, jtel *telemetry.Server, ranks int,
-	ropts mpi.RunOptions) error {
-	spec := j.Spec
-	opts := rheaOpts(spec)
-	var rep rhea.Report
-	err := mpi.RunErrOpt(ranks, ropts, func(c *mpi.Comm) error {
-		if checkCancel(c, j) {
-			return nil
-		}
-		m := rhea.New(c, opts)
-		jtel.Register("mantle", c.Rank(), m.Met)
-		r := m.Run()
-		if c.Rank() == 0 {
-			rep = r
-		}
+// runMantle is one rank of a mantle job's nonlinear Stokes solve. Mantle
+// jobs have no step boundaries, so no checkpoints, cancellation points,
+// or crash injection — the Report is the whole result.
+func (r *jobRun) runMantle(c *mpi.Comm) error {
+	m := rhea.New(c, rheaOpts(r.j.Spec))
+	r.jtel.Register("mantle", c.Rank(), m.Met)
+	rep := m.Run()
+	if c.Rank() != 0 {
 		return nil
-	})
-	if err != nil {
-		return err
 	}
+	j := r.j
 	j.mu.Lock()
 	j.result = map[string]float64{
 		"solve_seconds":  rep.SolveSec,

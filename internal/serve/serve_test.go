@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/advect"
+	"repro/internal/lifecycle"
 	"repro/internal/mpi"
 	"repro/internal/telemetry"
 )
@@ -230,7 +231,7 @@ func TestCrashRestartMigratesAndMatches(t *testing.T) {
 	var want uint64
 	mpi.Run(4, func(c *mpi.Comm) {
 		sol := advect.NewShell(c, advectOpts(spec.withDefaults()))
-		if err := sol.RunCheckpointed(steps, adaptEvery, 0, "", 0); err != nil {
+		if _, err := (lifecycle.Schedule{Steps: steps, AdaptEvery: adaptEvery}).Run(c, sol, 0); err != nil {
 			t.Errorf("reference: %v", err)
 		}
 		if h := sol.FieldHash(); c.Rank() == 0 {
@@ -313,6 +314,55 @@ func TestCrashRestartMigratesAndMatches(t *testing.T) {
 	}
 	if !fileExists(t, j, "flight-error.trace.json") {
 		t.Error("crashed attempt left no flight-recorder dump")
+	}
+}
+
+// TestCancelMidRunReportsNoResult cancels an advect job after its first
+// step: the job ends canceled, reports the step it stopped after, and
+// records no field hash and no result event — a run that never reached
+// its last step has no final state to fingerprint.
+func TestCancelMidRunReportsNoResult(t *testing.T) {
+	const steps = 100000
+	s := newTestScheduler(t, Config{MaxActive: 1}, nil)
+	defer s.Drain()
+	j, err := s.Submit(JobSpec{
+		Type: TypeAdvect, Ranks: 2, Steps: steps,
+		AdaptEvery: -1, CheckpointEvery: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; ; i++ {
+		ev, ok := j.events.next(i, nil)
+		if !ok {
+			t.Fatalf("event log closed before any progress (state %s)", j.State())
+		}
+		if ev.Type == "progress" {
+			break
+		}
+	}
+	j.Cancel()
+	if st := waitTerminal(t, j, time.Minute); st != StateCanceled {
+		t.Fatalf("state = %s, want canceled", st)
+	}
+	if h, ok := j.FieldHash(); ok {
+		t.Errorf("canceled job recorded field hash %#x", h)
+	}
+	v := j.View()
+	if v.FieldHash != "" {
+		t.Errorf("canceled job view has field_hash %s", v.FieldHash)
+	}
+	if got := v.Result["steps"]; got < 1 || got >= steps {
+		t.Errorf("result steps = %v, want the last completed step in [1, %d)", got, steps)
+	}
+	for i := 0; ; i++ {
+		ev, ok := j.events.next(i, nil)
+		if !ok {
+			break
+		}
+		if ev.Type == "result" {
+			t.Errorf("canceled job emitted a result event: %v", ev.Data)
+		}
 	}
 }
 
