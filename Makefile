@@ -1,13 +1,17 @@
-# Tier-1 verification: vet, build, and the full test suite under the race
+# Tier-1 verification: gofmt, vet, build, and the full test suite under the race
 # detector (the mpi runtime and the trace buffers are concurrency-critical,
 # so plain `go test` is not enough). CI runs `make verify`.
 
 GO ?= go
 PR ?= 10
 
-.PHONY: verify vet build test test-race bench bench-smoke bench-record fig4 fig4-highp chaos telemetry-smoke serve-smoke
+.PHONY: verify fmt vet build test test-race bench bench-smoke bench-record fig4 fig4-highp chaos telemetry-smoke serve-smoke
 
-verify: vet build test-race
+verify: fmt vet build test-race
+
+# Every Go file must be gofmt-clean; lists the offenders on failure.
+fmt:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -25,7 +29,7 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # One iteration of every collective benchmark case plus the solver step
-# benchmarks: catches deadlocks or regressions in the tree/star/sparse and
+# and volume-kernel benchmarks: catches deadlocks or regressions in the tree/star/sparse and
 # split-phase exchange paths without paying for full timing. The allocation
 # regression tests run here too (without -race: AllocsPerRun pins only hold
 # in normal builds).
@@ -33,6 +37,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench=Collectives -benchtime=1x -timeout 5m ./internal/mpi/
 	$(GO) test -run '^$$' -bench='^(BenchmarkBalance|BenchmarkGhost)$$/ranks64' -benchtime=1x -timeout 5m ./internal/core/
 	$(GO) test -run '^$$' -bench='Benchmark(Advect|Seismic)Step' -benchtime=1x -benchmem -timeout 5m ./internal/advect/ ./internal/seismic/
+	$(GO) test -run '^$$' -bench='^BenchmarkVolumeKernels$$' -benchtime=1x -timeout 5m ./internal/mangll/
 	$(GO) test -run 'Allocs' -timeout 5m ./internal/mangll/ ./internal/advect/ ./internal/seismic/
 	GOMAXPROCS=4 $(GO) test -run '^$$' -bench='BenchmarkAdvectStep/P4/overlap/(chan|shm)$$' -benchtime=1x -timeout 5m ./internal/advect/
 	GOMAXPROCS=4 $(GO) test -run '^$$' -bench='BenchmarkAdvectStep/P1/overlap/(chan|shm)/w4$$' -benchtime=1x -timeout 5m ./internal/advect/

@@ -93,8 +93,9 @@ type Solver struct {
 
 // advScratch is one worker's element- and face-sized kernel buffers.
 type advScratch struct {
-	tmp, fa         []float64 // Np
-	mine, theirs, g []float64 // Nf
+	f               [3][]float64 // Np each: the fluxes cv_a*c
+	div             []float64    // Np
+	mine, theirs, g []float64    // Nf
 }
 
 // advKernel adapts the solver to the mangll.Kernel interface. It is a
@@ -240,8 +241,8 @@ func (s *Solver) rebuild() {
 	s.ws = make([]advScratch, nw)
 	for w := range s.ws {
 		s.ws[w] = advScratch{
-			tmp:    make([]float64, m.Np),
-			fa:     make([]float64, m.Np),
+			f:      [3][]float64{make([]float64, m.Np), make([]float64, m.Np), make([]float64, m.Np)},
+			div:    make([]float64, m.Np),
 			mine:   make([]float64, m.Nf),
 			theirs: make([]float64, m.Nf),
 			g:      make([]float64, m.Nf),
@@ -324,28 +325,26 @@ func (s *Solver) RHS(c, dc []float64) {
 }
 
 // volumeTerm accumulates the volume divergence of the given local
-// elements.
+// elements: one fused Divergence of the three contravariant fluxes
+// cv_a*c per element, scaled by 1/J.
 func (s *Solver) volumeTerm(w *mangll.Work, elems []int32, c, dc []float64) {
 	m := s.Mesh
 	np := m.Np
 	sc := &s.ws[w.ID()]
-	tmp, fa := sc.tmp, sc.fa
+	f, div := sc.f, sc.div
 	for _, e := range elems {
 		base := int(e) * np
-		for n := range tmp {
-			tmp[n] = 0
-		}
-		for a := 0; a < 3; a++ {
-			for n := 0; n < np; n++ {
-				fa[n] = s.cv[a][base+n] * c[base+n]
-			}
-			w.ApplyD(a, fa, fa)
-			for n := 0; n < np; n++ {
-				tmp[n] += fa[n]
+		ce := c[base : base+np]
+		for a, fa := range f {
+			cv := s.cv[a][base : base+np]
+			for n := range fa {
+				fa[n] = cv[n] * ce[n]
 			}
 		}
-		for n := 0; n < np; n++ {
-			dc[base+n] -= tmp[n] / m.Jac[base+n]
+		w.Divergence(f[0], f[1], f[2], div)
+		jac, dce := m.Jac[base:base+np], dc[base:base+np]
+		for n, v := range div {
+			dce[n] -= v / jac[n]
 		}
 	}
 }

@@ -32,27 +32,42 @@ func BenchmarkMeshBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkApplyD measures the tensor-product spectral differentiation
-// kernel that dominates every dG right-hand side.
-func BenchmarkApplyD(b *testing.B) {
+// BenchmarkVolumeKernels measures the fused tensor-product volume
+// kernels that dominate every dG right-hand side: Gradient (all three
+// D_a u of one field) and Divergence (sum of D_a f_a over three fields),
+// at N=3 (register-blocked body) and N=6 (generic body). One op is one
+// element.
+func BenchmarkVolumeKernels(b *testing.B) {
 	conn := connectivity.UnitCube()
 	for _, deg := range []int{3, 6} {
-		b.Run(fmt.Sprintf("N%d", deg), func(b *testing.B) {
-			mpi.Run(1, func(c *mpi.Comm) {
-				f := core.New(c, conn, 1)
-				g := f.Ghost()
-				m := NewMesh(f, g, NewLGL(deg))
-				u := make([]float64, m.Np)
-				out := make([]float64, m.Np)
-				for i := range u {
-					u[i] = float64(i % 7)
+		mpi.Run(1, func(c *mpi.Comm) {
+			f := core.New(c, conn, 0)
+			m := NewMesh(f, f.Ghost(), NewLGL(deg))
+			w := m.SerialWork()
+			var in, out [3][]float64
+			for a := range in {
+				in[a] = make([]float64, m.Np)
+				out[a] = make([]float64, m.Np)
+				for i := range in[a] {
+					in[a][i] = float64((i+a)%7) - 3
 				}
-				b.ResetTimer()
+			}
+			// 2(N+1) flops per node per direction, plus Divergence's three
+			// per-node sums.
+			flops := float64(3 * 2 * m.Np1 * m.Np)
+			b.Run(fmt.Sprintf("Gradient/N%d", deg), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					m.applyD1(i%3, u, out)
+					w.Gradient(in[0], out[0], out[1], out[2])
 				}
-				// 2(N+1) ops per node per direction.
-				b.ReportMetric(float64(2*m.Np1*m.Np), "flops/op")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/element")
+				b.ReportMetric(flops, "flops/op")
+			})
+			b.Run(fmt.Sprintf("Divergence/N%d", deg), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					w.Divergence(in[0], in[1], in[2], out[0])
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/element")
+				b.ReportMetric(flops+float64(3*m.Np), "flops/op")
 			})
 		})
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/octant"
+	"repro/internal/raceflag"
 )
 
 func TestLGLNodesAndWeights(t *testing.T) {
@@ -158,6 +159,48 @@ func TestLSRK45Order(t *testing.T) {
 	order := math.Log2(e1 / e2)
 	if order < 3.7 {
 		t.Fatalf("LSRK45 observed order %v", order)
+	}
+}
+
+// TestLSRK45ResizeAcrossAdapts steps one integrator on states whose size
+// shrinks and regrows, as after coarsening and refining: every step must
+// equal a fresh integrator's (the registers are zeroed), and once the
+// registers reach their largest size no step allocates.
+func TestLSRK45ResizeAcrossAdapts(t *testing.T) {
+	rhs := func(tt float64, u, du []float64) {
+		for i := range u {
+			du[i] = -u[i] + tt
+		}
+	}
+	state := func(n int) []float64 {
+		u := make([]float64, n)
+		for i := range u {
+			u[i] = float64(i + 1)
+		}
+		return u
+	}
+	var rk LSRK45
+	for _, n := range []int{8, 3, 8, 5} {
+		u, ref := state(n), state(n)
+		rk.Step(u, 0.5, 0.1, rhs)
+		var fresh LSRK45
+		fresh.Step(ref, 0.5, 0.1, rhs)
+		for i := range u {
+			if math.Float64bits(u[i]) != math.Float64bits(ref[i]) {
+				t.Fatalf("n=%d: reused integrator gives u[%d]=%v, fresh %v", n, i, u[i], ref[i])
+			}
+		}
+	}
+	if raceflag.Enabled {
+		return // allocation counts differ under -race
+	}
+	small, big := state(3), state(8)
+	allocs := testing.AllocsPerRun(20, func() {
+		rk.Step(small, 0, 0.1, rhs)
+		rk.Step(big, 0, 0.1, rhs)
+	})
+	if allocs != 0 {
+		t.Fatalf("LSRK45 step after a resize allocates %v times, want 0", allocs)
 	}
 }
 

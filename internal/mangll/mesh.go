@@ -65,6 +65,22 @@ func (l *FaceLink) MapIndex(n, i, j int) (int, int) {
 	return a, b
 }
 
+// orient packs the link's alignment flags into an index of
+// Mesh.facePerm: bit 0 Swap, bit 1 RevI, bit 2 RevJ.
+func (l *FaceLink) orient() int {
+	o := 0
+	if l.Swap {
+		o |= 1
+	}
+	if l.RevI {
+		o |= 2
+	}
+	if l.RevJ {
+		o |= 4
+	}
+	return o
+}
+
 // Mesh is the dG view of a distributed forest: element node coordinates,
 // curvilinear metric terms, face connections (including 2:1 hanging faces
 // and inter-tree rotations), and the ghost-exchange machinery for fields.
@@ -95,6 +111,11 @@ type Mesh struct {
 
 	// FaceIdx[f][fn] is the volume node index of face node fn of face f.
 	FaceIdx [6][]int32
+	// facePerm[FaceLink.orient()][i+Np1*j] is the neighbour face-grid
+	// index FaceLink.MapIndex(N, i, j) of my face node (i,j), tabulated
+	// for all eight Swap/RevI/RevJ orientations so the face gathers do one
+	// indexed load per node.
+	facePerm [8][]int32
 
 	Links []FaceLink
 
@@ -193,6 +214,7 @@ func NewMesh(f *core.Forest, g *core.GhostLayer, l *LGL) *Mesh {
 		NumLocal: len(f.Local), NumGhost: len(g.Octants),
 	}
 	m.buildFaceIdx()
+	m.buildFacePerm()
 	m.buildGeometry()
 	m.buildLinks()
 	m.buildGhostExchange()
@@ -227,6 +249,22 @@ func (m *Mesh) buildFaceIdx() {
 			}
 		}
 		m.FaceIdx[f] = idx
+	}
+}
+
+// buildFacePerm tabulates FaceLink.MapIndex for every orientation.
+func (m *Mesh) buildFacePerm() {
+	np1 := m.Np1
+	for o := range m.facePerm {
+		l := FaceLink{Swap: o&1 != 0, RevI: o&2 != 0, RevJ: o&4 != 0}
+		perm := make([]int32, m.Nf)
+		for j := 0; j < np1; j++ {
+			for i := 0; i < np1; i++ {
+				i2, j2 := l.MapIndex(m.L.N, i, j)
+				perm[i+np1*j] = int32(i2 + np1*j2)
+			}
+		}
+		m.facePerm[o] = perm
 	}
 }
 
@@ -299,15 +337,18 @@ func (m *Mesh) buildGeometry() {
 	// Metric terms per element: dx/dxi by spectral differentiation, then
 	// J and J*dxi/dx by cofactors; face area vectors from the metric.
 	dxdxi := make([][3][3]float64, np)
-	tmp := make([]float64, np)
+	var der [3][]float64
+	for a := range der {
+		der[a] = make([]float64, np)
+	}
 	minLen := 1e308
 	for e := 0; e < nl; e++ {
 		base := e * np
 		for b := 0; b < 3; b++ { // physical coordinate
+			gradient(np1, m.L.DF, m.X[b][base:base+np], der[0], der[1], der[2])
 			for a := 0; a < 3; a++ { // reference direction
-				m.applyD1(a, m.X[b][base:base+np], tmp)
 				for n := 0; n < np; n++ {
-					dxdxi[n][b][a] = tmp[n]
+					dxdxi[n][b][a] = der[a][n]
 				}
 			}
 		}
@@ -361,59 +402,6 @@ func (m *Mesh) buildGeometry() {
 		minLen = 1e308
 	}
 	m.MinLen = -mpi.AllreduceMax(m.F.Comm, -minLen)
-}
-
-// applyD1 differentiates a single element's nodal values along reference
-// direction a (0,1,2), writing into out.
-func (m *Mesh) applyD1(a int, u, out []float64) {
-	np1 := m.Np1
-	d := m.L.DF
-	switch a {
-	case 0:
-		for k := 0; k < np1; k++ {
-			for j := 0; j < np1; j++ {
-				row := (j + np1*k) * np1
-				for i := 0; i < np1; i++ {
-					var s float64
-					di := d[i*np1 : i*np1+np1]
-					for q := 0; q < np1; q++ {
-						s += di[q] * u[row+q]
-					}
-					out[row+i] = s
-				}
-			}
-		}
-	case 1:
-		nf := np1 * np1
-		for k := 0; k < np1; k++ {
-			for i := 0; i < np1; i++ {
-				col := i + nf*k
-				for j := 0; j < np1; j++ {
-					var s float64
-					dj := d[j*np1 : j*np1+np1]
-					for q := 0; q < np1; q++ {
-						s += dj[q] * u[col+q*np1]
-					}
-					out[col+j*np1] = s
-				}
-			}
-		}
-	default:
-		nf := np1 * np1
-		for j := 0; j < np1; j++ {
-			for i := 0; i < np1; i++ {
-				col := i + np1*j
-				for k := 0; k < np1; k++ {
-					var s float64
-					dk := d[k*np1 : k*np1+np1]
-					for q := 0; q < np1; q++ {
-						s += dk[q] * u[col+q*nf]
-					}
-					out[col+k*nf] = s
-				}
-			}
-		}
-	}
 }
 
 func det3f(a [3][3]float64) float64 {

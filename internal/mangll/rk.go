@@ -37,16 +37,9 @@ var lsrkC = [5]float64{
 // locally owned portion of u should be integrated; rhs is responsible for
 // any ghost exchange it needs.
 func (r *LSRK45) Step(u []float64, t, dt float64, rhs func(tt float64, u, du []float64)) {
-	if len(r.res) != len(u) {
-		r.res = make([]float64, len(u))
-	} else {
-		for i := range r.res {
-			r.res[i] = 0
-		}
-	}
-	if len(r.du) != len(u) {
-		r.du = make([]float64, len(u))
-	}
+	r.res = resize(r.res, len(u))
+	clear(r.res)
+	r.du = resize(r.du, len(u))
 	du := r.du
 	for s := 0; s < 5; s++ {
 		for i := range du {
@@ -59,6 +52,15 @@ func (r *LSRK45) Step(u []float64, t, dt float64, rhs func(tt float64, u, du []f
 			u[i] += b * r.res[i]
 		}
 	}
+}
+
+// resize returns buf resliced to length n, reallocating only when its
+// capacity is short (the state shrinks and regrows across adapts).
+func resize(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // LSRKA exposes the low-storage A coefficient of stage s (used by the

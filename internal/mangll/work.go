@@ -1,16 +1,16 @@
 package mangll
 
-// Work is one worker's mesh-operation context: the face-sized and
-// element-sized scratch buffers the dG face and derivative kernels need,
-// owned by exactly one pool worker (or by the rank goroutine itself on
-// the serial path). Mesh state proper — geometry, operators, links — is
-// read-only during a kernel application and shared by all Works; only the
-// scratch is per-worker, which is what lets N workers run the same
-// kernels concurrently without locks.
+// Work is one worker's mesh-operation context: the face-sized scratch
+// buffers the dG face kernels need, owned by exactly one pool worker (or
+// by the rank goroutine itself on the serial path). Mesh state proper —
+// geometry, operators, links, the face-permutation tables — is read-only
+// during a kernel application and shared by all Works; only the scratch
+// is per-worker, which is what lets N workers run the same kernels
+// concurrently without locks.
 //
 // Kernel hooks must route every mesh operation through the Work they are
-// handed, never through the Mesh convenience wrappers (those delegate to
-// Work 0 and would race with worker 0).
+// handed, never through SerialWork (that is Work 0 and would race with
+// worker 0).
 type Work struct {
 	m  *Mesh
 	id int
@@ -20,9 +20,6 @@ type Work struct {
 	// workspace. Allocated eagerly so steady-state kernels allocate
 	// nothing.
 	sA, sB, sC []float64
-	// Element-sized scratch of the aliased ApplyD path, grown on first
-	// use.
-	sD []float64
 }
 
 func newWork(m *Mesh, id int) *Work {
@@ -54,41 +51,34 @@ func (w *Work) Mesh() *Mesh { return w.m }
 // quadrant directly (callers evaluate at the fine nodes).
 func (w *Work) FaceValues(l *FaceLink, nc, comp int, field []float64, out []float64) {
 	m := w.m
-	np1 := m.Np1
 	nbrBase := int(l.Nbr)
 	if l.NbrGhost {
 		nbrBase += m.NumLocal
 	}
-	nbrBase *= m.Np * nc
+	nbrBase = nbrBase*m.Np*nc + comp
 	fidx := m.FaceIdx[l.NbrFace]
-
-	// Gather the neighbour's full face in its own frame.
-	nb := w.sA
-	for fn := 0; fn < m.Nf; fn++ {
-		nb[fn] = field[nbrBase+int(fidx[fn])*nc+comp]
-	}
+	perm := m.facePerm[l.orient()]
+	out = out[:len(perm)]
 
 	switch l.Kind {
 	case LinkEqual, LinkToFineQuad:
 		// Direct alignment; for ToFineQuad the neighbour's face maps onto
 		// my quadrant's fine grid one-to-one.
-		for j := 0; j < np1; j++ {
-			for i := 0; i < np1; i++ {
-				i2, j2 := l.MapIndex(m.L.N, i, j)
-				out[i+np1*j] = nb[i2+np1*j2]
-			}
+		for fn, p := range perm {
+			out[fn] = field[nbrBase+int(fidx[p])*nc]
 		}
 	case LinkToCoarse:
 		// Interpolate the coarse face onto my quadrant (in the neighbour's
 		// frame), then align indices.
+		nb := w.sA
+		for fn, v := range fidx {
+			nb[fn] = field[nbrBase+int(v)*nc]
+		}
 		qi, qj := m.quadInterp(l)
 		wk := w.sB
-		tensor2ApplyBuf(np1, qi, qj, nb, wk, w.sC)
-		for j := 0; j < np1; j++ {
-			for i := 0; i < np1; i++ {
-				i2, j2 := l.MapIndex(m.L.N, i, j)
-				out[i+np1*j] = wk[i2+np1*j2]
-			}
+		tensor2ApplyBuf(m.Np1, qi, qj, nb, wk, w.sC)
+		for fn, p := range perm {
+			out[fn] = wk[p]
 		}
 	default:
 		panic("mangll: FaceValues on boundary link")
@@ -100,19 +90,19 @@ func (w *Work) FaceValues(l *FaceLink, nc, comp int, field []float64, out []floa
 // fine grid (in my frame) so both sides of the flux are collocated.
 func (w *Work) MyFaceValues(l *FaceLink, nc, comp int, field []float64, out []float64) {
 	m := w.m
-	np1 := m.Np1
-	base := int(l.Elem) * m.Np * nc
+	base := int(l.Elem)*m.Np*nc + comp
 	fidx := m.FaceIdx[l.Face]
-	mine := w.sA
-	for fn := 0; fn < m.Nf; fn++ {
-		mine[fn] = field[base+int(fidx[fn])*nc+comp]
+	mine := out[:len(fidx)]
+	if l.Kind == LinkToFineQuad {
+		mine = w.sA
+	}
+	for fn, v := range fidx {
+		mine[fn] = field[base+int(v)*nc]
 	}
 	if l.Kind == LinkToFineQuad {
 		qi, qj := m.quadInterp(l)
-		tensor2ApplyBuf(np1, qi, qj, mine, out, w.sC)
-		return
+		tensor2ApplyBuf(m.Np1, qi, qj, mine, out, w.sC)
 	}
-	copy(out, mine)
 }
 
 // InterpFaceToQuad interpolates values given at my full face's nodes onto
@@ -120,21 +110,6 @@ func (w *Work) MyFaceValues(l *FaceLink, nc, comp int, field []float64, out []fl
 func (w *Work) InterpFaceToQuad(l *FaceLink, face, out []float64) {
 	qi, qj := w.m.quadInterp(l)
 	tensor2ApplyBuf(w.m.Np1, qi, qj, face, out, w.sC)
-}
-
-// ApplyD differentiates one element's nodal values along reference
-// direction a. u and out may alias.
-func (w *Work) ApplyD(a int, u, out []float64) {
-	if &u[0] == &out[0] {
-		if len(w.sD) < len(u) {
-			w.sD = make([]float64, len(u))
-		}
-		tmp := w.sD[:len(u)]
-		w.m.applyD1(a, u, tmp)
-		copy(out, tmp)
-		return
-	}
-	w.m.applyD1(a, u, out)
 }
 
 // StageFace stores component comp of link li's face flux into the mesh's

@@ -79,7 +79,8 @@ type Solver struct {
 // seisScratch is one worker's kernel buffers.
 type seisScratch struct {
 	sig          [][6]float64 // np
-	der, field   []float64    // np
+	der          [3][]float64 // np each: the reference derivatives
+	field        []float64    // np
 	grads        [][3]float64 // np*NC
 	mine, theirs []float64    // nf*NC
 	xs, area     [][3]float64 // nf
@@ -149,7 +150,9 @@ func (s *Solver) rebuild() {
 	for w := range s.ws {
 		sc := &s.ws[w]
 		sc.sig = make([][6]float64, np)
-		sc.der = make([]float64, np)
+		for r := range sc.der {
+			sc.der[r] = make([]float64, np)
+		}
 		sc.field = make([]float64, np)
 		sc.grads = make([][3]float64, np*NC)
 		sc.mine = make([]float64, nf*NC)
@@ -276,14 +279,14 @@ func (s *Solver) volumeTerm(w *mangll.Work, elems []int32, q, dq []float64) {
 			for nn := 0; nn < np; nn++ {
 				grads[nn*NC+c] = [3]float64{}
 			}
-			for r := 0; r < 3; r++ {
-				w.ApplyD(r, field, der)
+			w.Gradient(field, der[0], der[1], der[2])
+			for r, dr := range der {
 				for nn := 0; nn < np; nn++ {
 					gj := 1 / m.Jac[base+nn]
 					g := &grads[nn*NC+c]
-					g[0] += gj * m.Gi[r][0][base+nn] * der[nn]
-					g[1] += gj * m.Gi[r][1][base+nn] * der[nn]
-					g[2] += gj * m.Gi[r][2][base+nn] * der[nn]
+					g[0] += gj * m.Gi[r][0][base+nn] * dr[nn]
+					g[1] += gj * m.Gi[r][1][base+nn] * dr[nn]
+					g[2] += gj * m.Gi[r][2][base+nn] * dr[nn]
 				}
 			}
 		}
